@@ -17,6 +17,7 @@ property suite relies on this.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,20 @@ class Event:
     weight: float
     timestamp: float
     group: str = "default"
+
+    def __post_init__(self) -> None:
+        # The one domain check every feed, wire, log and replication
+        # path passes through: the paper's weights are finite and
+        # nonnegative.  NaN fails every comparison.
+        if not 0.0 <= self.weight < math.inf:
+            raise ValueError(
+                f"event weight must be finite and nonnegative, "
+                f"got {self.weight!r}"
+            )
+        if not -math.inf < self.timestamp < math.inf:
+            raise ValueError(
+                f"event timestamp must be finite, got {self.timestamp!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """The event's JSON-line payload."""
@@ -104,12 +119,12 @@ def read_events(path: Union[str, os.PathLike]) -> Iterator[Event]:
             if not line.strip():
                 continue
             try:
-                payload = json.loads(line)
+                event = Event.from_dict(json.loads(line))
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: malformed feed line: {exc}"
                 ) from None
-            yield Event.from_dict(payload)
+            yield event
 
 
 def shard_events(

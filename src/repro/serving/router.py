@@ -16,10 +16,9 @@ them answer as one store:
   vector and their sum as the routed watermark.
 * **Scatter-gather queries** — ``sum``/``distinct``/``similarity`` are
   answered by gathering each shard's *serialized sketch views*
-  (``shard_view`` responses, cached against each shard's
-  ``(offset, watermark)`` mutation tag), fusing them with
+  (``shard_view`` responses), fusing them per group with
   :func:`~repro.serving.store.merge_sketch_views`, and running the
-  fused store through the identical
+  fused groups through the identical
   :meth:`~repro.serving.store.SketchStore.query` code path.  Because
   coordinated sketches over disjoint key populations merge exactly,
   routed answers are **bit-identical** to an unsharded store at the
@@ -27,6 +26,22 @@ them answer as one store:
   Partial scalar answers are deliberately *not* summed router-side:
   floating-point reduction order would differ from the unsharded
   engine dispatch and break bit-identity.
+* **View and fused caches** — each slot caches the serialized sketch
+  of every ``(group, kind)`` *unit* it has fetched (and, for
+  default-selection queries, the shard's group list), tagged with the
+  shard's ``(offset, watermark)`` mutation cut.  When every unit a query
+  needs from a shard is cached at one common tag, the router sends that
+  tag and the shard answers a bare ``unchanged``; otherwise it fetches
+  the selection afresh, and a unit whose tag did not move keeps its
+  cached object.  The router in turn caches each group's *fused*
+  sketches, keyed by the per-shard unit objects they were built from: a
+  fused sketch is rebuilt only when one of its parts changed, and then
+  only its own derived reduction arrays are dropped.  So a read on an
+  unchanged cut fuses nothing, and a group is fused once per change of
+  a shard's cut.  A re-target clears the slot's units *and* every fused
+  group: a promoted or fallback endpoint can repeat the old endpoint's
+  tag with different content.  Each cache holds at most
+  ``_CACHE_ENTRIES`` entries, oldest evicted first.
 * **Failover** — each shard slot is an ordered endpoint chain
   (primary first, then followers).  When the current target dies, the
   router re-scans the chain: a writable survivor wins in chain order;
@@ -83,8 +98,9 @@ from .server import (
     ServingClient,
     ServingError,
     ShardUnavailable,
+    check_group_selection,
 )
-from .store import StoreConfig, merge_sketch_views
+from .store import GroupState, SketchStore, StoreConfig, merge_sketch_views
 
 __all__ = ["ShardRouter", "ShardSlot"]
 
@@ -95,9 +111,16 @@ _QUERY_VIEW_KINDS = {
     "distinct": ("ads",),
 }
 
-#: Cap on cached view shapes per shard (distinct ``(groups, kinds)``
-#: selections); the common serving mix uses a handful.
-_VIEW_CACHE_SHAPES = 32
+#: Cap on each slot's cached ``(group, kind)`` units and on the router's
+#: fused groups; a mix reading both kinds of up to 31 groups fits.
+_CACHE_ENTRIES = 64
+
+
+def _put(cache: Dict[Any, Any], key: Any, value: Any) -> None:
+    """Insert into a bounded cache, evicting the oldest entry if full."""
+    if key not in cache and len(cache) >= _CACHE_ENTRIES:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
 
 
 class ShardSlot:
@@ -121,19 +144,69 @@ class ShardSlot:
         self.client: Optional[ServingClient] = None
         self.watermark = 0
         self.failovers = 0
-        #: ``(groups, kinds) -> (offset, watermark, view payload)``.
-        self.view_cache: Dict[Tuple, Tuple[int, int, Dict[str, Any]]] = {}
+        #: ``(group, kind) -> (tag, serialized sketch or None)`` where the
+        #: shard lacks the group, plus ``None -> (tag, group names)``: the
+        #: shard's group list.  ``tag`` is ``(offset, watermark)``.
+        self.units: Dict[Any, Tuple[Tuple[int, int], Any]] = {}
         self.lock = asyncio.Lock()
 
     def invalidate_views(self) -> None:
-        """Drop cached views (after re-targeting to a different server).
+        """Drop cached units (after re-targeting to a different server).
 
         Within one primary the ``(offset, watermark)`` tag identifies
         the mutation cut exactly, but a *promoted* primary restarts
-        offsets from 0, so a tag could collide across servers; clearing
-        on every re-target keeps the cache sound.
+        offsets from 0, so a tag could collide across servers.  The
+        cache is replaced, not cleared, so a fetch in flight across the
+        re-target can tell that its units belong to the old server.
         """
-        self.view_cache.clear()
+        self.units = {}
+
+    def cached_cut(
+        self, groups: Optional[Sequence[str]], kinds: Sequence[str]
+    ) -> Optional[Tuple[Tuple[int, int], List[str], Dict[Tuple, Any]]]:
+        """``(tag, groups, parts)`` if the selection is cached at one tag.
+
+        ``groups=None`` selects the shard's cached group list.  Returns
+        ``None`` when any unit is missing or the units disagree on the
+        tag; the caller must then fetch the selection afresh.
+        """
+        entries = []
+        if groups is None:
+            listing = self.units.get(None)
+            if listing is None:
+                return None
+            entries.append(listing)
+            groups = listing[1]
+        units = [(group, kind) for group in groups for kind in kinds]
+        entries += [self.units.get(unit) for unit in units]
+        if not entries or None in entries:
+            return None
+        tag = entries[0][0]
+        if any(entry[0] != tag for entry in entries):
+            return None
+        parts = {unit: self.units[unit][1] for unit in units}
+        return tag, list(groups), parts
+
+    def remember(
+        self,
+        tag: Tuple[int, int],
+        parts: Dict[Tuple, Any],
+        listing: Optional[List[str]],
+    ) -> None:
+        """Cache freshly fetched units at ``tag``.
+
+        A unit already cached at ``tag`` keeps its cached object, and
+        ``parts`` is pointed at it: the fused cache recognises unchanged
+        parts by identity.
+        """
+        for unit, payload in parts.items():
+            prior = self.units.get(unit)
+            if prior is not None and prior[0] == tag:
+                parts[unit] = prior[1]
+            else:
+                _put(self.units, unit, (tag, payload))
+        if listing is not None:
+            _put(self.units, None, (tag, listing))
 
     def describe(self) -> Dict[str, Any]:
         """The slot's entry in the router's ``info`` payload."""
@@ -226,6 +299,9 @@ class ShardRouter(JSONLinesServer):
         self._health_interval = health_interval
         self._config: Optional[StoreConfig] = None
         self._health_task: Optional[asyncio.Task] = None
+        #: ``group -> (fused state, {kind: per-slot parts it was fused
+        #: from})``.
+        self._fused: Dict[str, Tuple[GroupState, Dict[str, Tuple]]] = {}
 
     @property
     def slots(self) -> List[ShardSlot]:
@@ -375,6 +451,8 @@ class ShardRouter(JSONLinesServer):
         slot.client = client
         slot.watermark = int(info.get("events_ingested", slot.watermark))
         slot.invalidate_views()
+        # Every fused group holds a part of every slot.
+        self._fused.clear()
         if slot.endpoints[0] != was_primary:
             slot.failovers += 1
             self._metrics.counter(
@@ -489,45 +567,85 @@ class ShardRouter(JSONLinesServer):
             response["durable"] = all(bool(flag) for flag in durables)
         return response
 
-    async def _shard_view(
+    async def _shard_parts(
         self,
         slot: ShardSlot,
         groups: Optional[Sequence[str]],
         kinds: Sequence[str],
-    ) -> Dict[str, Any]:
-        """One shard's view payload, through the per-slot view cache."""
-        cache_key = (
-            None if groups is None else tuple(groups),
-            tuple(kinds),
-        )
-        fields: Dict[str, Any] = {"kinds": list(kinds)}
-        if groups is not None:
-            fields["groups"] = list(groups)
-        entry = slot.view_cache.get(cache_key)
-        if entry is not None:
-            fields["since_offset"] = entry[0]
-            fields["since_watermark"] = entry[1]
-        response = await self._shard_request(slot, "shard_view", **fields)
-        slot.watermark = int(response["watermark"])
-        if response.get("unchanged") and entry is not None:
-            self._metrics.counter(
-                "router_view_cache_hits_total",
-                help="shard view fetches answered unchanged, by shard",
-                shard=str(slot.index),
-            ).inc()
-            return entry[2]
-        view = response["view"]
-        if (
-            cache_key not in slot.view_cache
-            and len(slot.view_cache) >= _VIEW_CACHE_SHAPES
-        ):
-            slot.view_cache.pop(next(iter(slot.view_cache)))
-        slot.view_cache[cache_key] = (
-            int(response["offset"]),
-            int(response["watermark"]),
-            view,
-        )
-        return view
+    ) -> Tuple[List[str], Dict[Tuple, Any]]:
+        """One shard's serialized sketches for a query, through its units.
+
+        Returns the groups the shard holds (for ``groups=None``) and
+        ``{(group, kind): serialized sketch or None}``.
+        """
+        while True:
+            units = slot.units
+            cut = slot.cached_cut(groups, kinds)
+            fields: Dict[str, Any] = {"kinds": list(kinds)}
+            if groups is not None:
+                fields["groups"] = list(groups)
+            if cut is not None:
+                fields["since_offset"], fields["since_watermark"] = cut[0]
+            response = await self._shard_request(slot, "shard_view", **fields)
+            slot.watermark = int(response["watermark"])
+            if not response.get("unchanged"):
+                break
+            if slot.units is units:
+                self._metrics.counter(
+                    "router_view_cache_hits_total",
+                    help="shard view fetches answered unchanged, by shard",
+                    shard=str(slot.index),
+                ).inc()
+                return cut[1], cut[2]
+            # Re-targeted in flight: the new server may repeat the old
+            # one's tag with different content, so ask again untagged.
+        view = response["view"]["groups"]
+        held = list(view) if groups is None else list(groups)
+        parts = {
+            (group, kind): view.get(group, {}).get(kind)
+            for group in held
+            for kind in kinds
+        }
+        if slot.units is units:
+            slot.remember(
+                (int(response["offset"]), int(response["watermark"])),
+                parts,
+                held if groups is None else None,
+            )
+        return held, parts
+
+    def _fused_group(
+        self, group: str, kinds: Sequence[str], parts: Sequence[Dict]
+    ) -> GroupState:
+        """The group's fused sketches, re-fusing only changed kinds."""
+        entry = self._fused.get(group)
+        if entry is None:
+            entry = (GroupState(), {})
+            _put(self._fused, group, entry)
+        state, sources = entry
+        for kind in kinds:
+            source = tuple(slot_parts.get((group, kind)) for slot_parts in parts)
+            prior = sources.get(kind)
+            if prior is not None and all(
+                old is new for old, new in zip(prior, source)
+            ):
+                continue
+            config = self._config.to_dict()
+            fused = merge_sketch_views(
+                self._config,
+                [
+                    {
+                        "config": config,
+                        "watermark": 0,
+                        "groups": {group: {kind: payload}},
+                    }
+                    for payload in source
+                    if payload is not None
+                ],
+            )
+            state.replace(kind, fused.sketch(group, kind))
+            sources[kind] = source
+        return state
 
     async def _query_op(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         kind = payload.get("kind")
@@ -538,16 +656,11 @@ class ShardRouter(JSONLinesServer):
                 f"{sorted(_QUERY_VIEW_KINDS)}"
             )
         groups = payload.get("groups")
-        if groups is not None and (
-            isinstance(groups, str)
-            or not all(isinstance(group, str) for group in groups)
-        ):
-            # A bare string would silently fan out per character.
-            raise ValueError("groups must be a list of group names")
+        check_group_selection(groups)
         start = time.perf_counter()
         results = await asyncio.gather(
             *(
-                self._shard_view(slot, groups, view_kinds)
+                self._shard_parts(slot, groups, view_kinds)
                 for slot in self._slots
             ),
             return_exceptions=True,
@@ -560,7 +673,15 @@ class ShardRouter(JSONLinesServer):
         for result in results:
             if isinstance(result, BaseException):
                 raise result
-        fused = merge_sketch_views(self._config, results)
+        selected = (
+            sorted({group for held, _ in results for group in held})
+            if groups is None
+            else dict.fromkeys(groups)
+        )
+        parts = [slot_parts for _, slot_parts in results]
+        fused = SketchStore(self._config)
+        for group in selected:
+            fused._groups[group] = self._fused_group(group, view_kinds, parts)
         until = payload.get("until")
         result = fused.query(
             kind,

@@ -141,6 +141,19 @@ __all__ = [
 DEFAULT_LINE_LIMIT = 2 ** 20
 
 
+def check_group_selection(groups: Any) -> None:
+    """Refuse a ``groups`` field that is not ``None`` or a list of names.
+
+    A bare string would otherwise be iterated per character and select
+    groups that do not exist.
+    """
+    if groups is not None and (
+        isinstance(groups, str)
+        or not all(isinstance(group, str) for group in groups)
+    ):
+        raise ValueError("groups must be a list of group names")
+
+
 class ServingError(RuntimeError):
     """A server-side request failure, re-raised by :class:`ServingClient`."""
 
@@ -908,6 +921,8 @@ class SketchServer(JSONLinesServer):
         ``since_watermark`` match, the response is a bare ``unchanged``
         acknowledgement — the router's view cache rides on this.
         """
+        groups = payload.get("groups")
+        check_group_selection(groups)
         offset = self._hub.offset
         watermark = self._store.events_ingested
         response: Dict[str, Any] = {
@@ -928,7 +943,7 @@ class SketchServer(JSONLinesServer):
         kinds = payload.get("kinds")
         response["view"] = sketch_view_payload(
             self._store,
-            groups=payload.get("groups"),
+            groups=groups,
             kinds=tuple(kinds) if kinds else ("pps", "ads"),
         )
         return response

@@ -66,6 +66,9 @@ __all__ = [
 #: estimation registries are extended.
 SERVING_QUERY_KINDS = Registry("serving query")
 
+#: Reduction arrays cached beside each sketch kind and derived from it.
+_DERIVED_ARRAYS = {"pps": ("sum_weights",), "ads": ("ads_columns",)}
+
 
 @dataclass(frozen=True)
 class StoreConfig:
@@ -176,6 +179,16 @@ class GroupState:
         if kind not in self._cache:
             self._cache[kind] = build()
         return self._cache[kind]
+
+    def replace(self, kind: str, sketch: Any) -> None:
+        """Install ``sketch`` as the cached view of ``kind``.
+
+        Only the reduction arrays derived from that kind are dropped;
+        every other kind's view and arrays stay cached.
+        """
+        self._cache[kind] = sketch
+        for derived in _DERIVED_ARRAYS.get(kind, ()):
+            self._cache.pop(derived, None)
 
 
 class SketchStore:
@@ -774,7 +787,7 @@ def merge_sketch_views(
                         for key in sorted(sketch.seeds)
                     },
                 )
-            state._cache[kind] = sketch
+            state.replace(kind, sketch)
     return store
 
 

@@ -13,8 +13,9 @@ the identical store-query code path, so no floating-point reduction
 ever runs in a different order than it would unsharded.
 
 Also pinned here: the per-shard watermark vector on every routed
-answer, the ``(offset, watermark)``-tagged view cache (hits counted,
-eviction invalidates), TTL eviction parity, and the router's typed
+answer, the ``(offset, watermark)``-tagged view and fused caches (hits
+counted, only changed units re-fused, ingest, eviction and re-targets
+invalidate), TTL eviction parity, and the router's typed
 rejection of unroutable requests.  The exhaustive shard-count × op grid
 runs under ``pytest -m slow``; failover and promotion live in
 ``test_promotion.py``.
@@ -188,38 +189,126 @@ class TestViewCache:
 
         asyncio.run(run())
 
-    def test_ingest_and_evict_both_invalidate_cached_views(self):
+    def test_only_changed_units_are_fused(self, monkeypatch):
+        import repro.serving.router as router_module
+
+        fused = []
+        merge = router_module.merge_sketch_views
+
+        def counting_merge(config, views):
+            fused.append(
+                {
+                    (group, kind)
+                    for view in views
+                    for group, sketches in view["groups"].items()
+                    for kind in sketches
+                }
+            )
+            return merge(config, views)
+
+        monkeypatch.setattr(router_module, "merge_sketch_views", counting_merge)
+
         async def run():
-            feed = synthetic_feed(100, num_keys=20, groups=("g1",), seed=2)
+            feed = synthetic_feed(
+                120, num_keys=30, groups=("g1", "g2"), seed=12
+            )
             baseline = SketchStore(CONFIG)
             baseline.ingest(feed)
             async with router_cluster(2) as (_router, client, _servers):
                 await client.ingest(feed)
-                assert (await client.query("sum"))[
-                    "result"
-                ] == baseline.query("sum")
-                # Ingest bumps offset and watermark; the cached views
-                # must refresh.
+                first = await client.query("sum", groups=["g1"])
+                assert fused == [{("g1", "pps")}]
+                again = await client.query("sum", groups=["g1"])
+                assert again["result"] == first["result"]
+                assert fused == [{("g1", "pps")}]  # nothing re-fused
+                pair = await client.query("similarity", groups=["g1", "g2"])
+                assert fused == [{("g1", "pps")}, {("g2", "pps")}]
+                assert pair["result"] == baseline.query(
+                    "similarity", groups=["g1", "g2"]
+                )
+
+        asyncio.run(run())
+
+    def test_ingest_and_evict_both_invalidate_cached_views(self):
+        selections = (
+            {"kind": "sum"},
+            {"kind": "sum", "groups": ["g1"]},
+            {"kind": "sum", "groups": ["g2"]},
+            {"kind": "distinct", "groups": ["g1", "g2"]},
+            {"kind": "similarity", "groups": ["g1", "g2"]},
+        )
+
+        async def check(client, baseline):
+            for fields in selections:
+                routed = await client.query(**fields)
+                assert routed["result"] == baseline.query(
+                    fields["kind"], groups=fields.get("groups")
+                ), fields
+                assert routed["watermark"] == baseline.events_ingested
+
+        async def run():
+            feed = synthetic_feed(
+                100, num_keys=20, groups=("g1", "g2"), seed=2
+            )
+            baseline = SketchStore(CONFIG)
+            baseline.ingest(feed)
+            async with router_cluster(2) as (_router, client, _servers):
+                await client.ingest(feed)
+                await check(client, baseline)
+                # Ingest to one group bumps offset and watermark; the
+                # cached units and fused groups must refresh.
                 more = synthetic_feed(
                     40, num_keys=20, groups=("g1",), seed=3
                 )
                 baseline.ingest(more)
                 await client.ingest(more)
-                assert (await client.query("sum"))[
-                    "result"
-                ] == baseline.query("sum")
+                await check(client, baseline)
                 # Eviction bumps only the offset (the watermark stays),
                 # which is exactly why the view tag carries both.
                 from repro.serving import RetentionPolicy, apply_retention
 
-                now = max(event.timestamp for event in feed) + 200.0
-                apply_retention(
-                    baseline, RetentionPolicy(ttl=50.0), now=now
+                now = max(event.timestamp for event in feed) + 20.0
+                evicted = apply_retention(
+                    baseline, RetentionPolicy(ttl=60.0), now=now
                 )
-                await client.evict(ttl=50.0, now=now)
-                routed = await client.query("sum")
-                assert routed["result"] == baseline.query("sum")
-                assert routed["watermark"] == baseline.events_ingested
+                assert evicted and all(
+                    baseline.group_state(group).totals for group in evicted
+                )  # a partial eviction, not an emptied store
+                await client.evict(ttl=60.0, now=now)
+                await check(client, baseline)
+
+        asyncio.run(run())
+
+    def test_retarget_never_trusts_a_colliding_tag(self):
+        async def run():
+            # Equal event counts and no mutation since start: both
+            # servers tag their (different) content identically.
+            stores = []
+            for seed in (21, 22):
+                store = SketchStore(CONFIG)
+                store.ingest(
+                    synthetic_feed(60, num_keys=15, groups=("g1",), seed=seed)
+                )
+                stores.append(store)
+            first, second = (SketchServer(store) for store in stores)
+            await first.start()
+            await second.start()
+            router = ShardRouter([[first.address, second.address]])
+            await router.start()
+            client = await ServingClient.connect(*router.address)
+            try:
+                before = await client.query("sum")
+                assert before["result"] == stores[0].query("sum")
+                await first.stop()
+                for groups in (None, ["g1"]):
+                    after = await client.query("sum", groups=groups)
+                    assert after["result"] == stores[1].query("sum")
+                assert stores[0].query("sum") != stores[1].query("sum")
+                assert router.slots[0].failovers == 1
+            finally:
+                await client.close()
+                await router.stop()
+                await second.stop()
 
         asyncio.run(run())
 

@@ -110,6 +110,72 @@ class TestBadRequests:
         asyncio.run(run())
 
 
+    def test_shard_view_rejects_a_bare_string_selection(self):
+        async def run():
+            async with SketchServer(make_store()) as server:
+                client = await ServingClient.connect(*server.address)
+                # Iterated per character, "g1" would select groups "g"
+                # and "1" and silently answer an empty view.
+                with pytest.raises(ServingError, match="list of group names"):
+                    await client.request(
+                        "shard_view", groups="g1", kinds=["pps"]
+                    )
+                view = await client.request(
+                    "shard_view", groups=["g1"], kinds=["pps"]
+                )
+                assert list(view["view"]["groups"]) == ["g1"]
+                await client.close()
+
+        asyncio.run(run())
+
+
+#: A batch whose second event has a NaN weight: refused whole.
+OUT_OF_DOMAIN_BATCH = [
+    {"key": "k1", "weight": 1.0, "timestamp": 500.0, "group": "g1"},
+    {"key": "k2", "weight": "nan", "timestamp": 501.0, "group": "g1"},
+]
+
+
+class TestOutOfDomainIngest:
+    """One out-of-domain event refuses its batch before anything applies."""
+
+    def test_server_refuses_the_batch(self):
+        async def run():
+            store = make_store()
+            async with SketchServer(store) as server:
+                client = await ServingClient.connect(*server.address)
+                before = await client.query("sum")
+                with pytest.raises(ServingError, match="must be finite"):
+                    await client.request("ingest", events=OUT_OF_DOMAIN_BATCH)
+                after = await client.query("sum")
+                assert after["result"] == before["result"]
+                assert after["watermark"] == before["watermark"] == 200
+                await client.close()
+
+        asyncio.run(run())
+
+    def test_router_refuses_the_batch(self):
+        async def run():
+            feed = synthetic_feed(
+                60, num_keys=12, groups=("g1", "g2"), seed=34
+            )
+            async with fuzz_router() as (router, servers):
+                client = await ServingClient.connect(*router.address)
+                await client.ingest(feed)
+                before = await client.query("sum")
+                with pytest.raises(ServingError, match="must be finite"):
+                    await client.request("ingest", events=OUT_OF_DOMAIN_BATCH)
+                after = await client.query("sum")
+                assert after["result"] == before["result"]
+                assert after["watermarks"] == before["watermarks"] == [
+                    server.store.events_ingested for server in servers
+                ]
+                assert after["watermark"] == 60
+                await client.close()
+
+        asyncio.run(run())
+
+
 class TestDisconnectMidFlush:
     def test_peer_gone_before_flush_does_not_starve_others(self):
         async def run():

@@ -226,6 +226,40 @@ class TestEventFeed:
         with pytest.raises(ValueError, match="malformed feed line"):
             list(read_events(path))
 
+    @pytest.mark.parametrize(
+        "weight, timestamp",
+        [
+            (math.nan, 0.0),
+            (math.inf, 0.0),
+            (-math.inf, 0.0),
+            (-1.0, 0.0),
+            (1.0, math.nan),
+            (1.0, math.inf),
+            (1.0, -math.inf),
+        ],
+    )
+    def test_out_of_domain_event_is_rejected(self, weight, timestamp):
+        with pytest.raises(ValueError, match="must be finite"):
+            Event("a", weight, timestamp, "g")
+        # The wire and feed decoder goes through the same check.
+        with pytest.raises(ValueError, match="must be finite"):
+            Event.from_dict(
+                {"key": "a", "weight": str(weight), "timestamp": str(timestamp)}
+            )
+
+    def test_zero_weight_and_negative_timestamp_are_in_domain(self):
+        event = Event("a", 0.0, -5.0, "g")
+        assert Event.from_dict(event.to_dict()) == event
+
+    def test_out_of_domain_feed_line_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"key": "a", "weight": 1.0, "timestamp": 0}\n'
+            '{"key": "b", "weight": NaN, "timestamp": 1}\n'
+        )
+        with pytest.raises(ValueError, match=r"bad.jsonl:2: .*weight"):
+            list(read_events(path))
+
     def test_shard_events_routes_by_key_and_preserves_order(self):
         feed = synthetic_feed(200, num_keys=30, groups=("a", "b"), seed=9)
         shards = shard_events(feed, 4)
